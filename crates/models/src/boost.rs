@@ -9,8 +9,12 @@
 //! multiplicatively.
 
 use crate::traits::Classifier;
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{DecisionTree, Presorted, TreeParams};
 use falcc_dataset::{AttrId, Dataset};
+
+fn boost_name(n_estimators: usize, tree: &TreeParams) -> String {
+    format!("adaboost[T={n_estimators},d={},{}]", tree.max_depth, tree.criterion.short_name())
+}
 
 /// AdaBoost hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +55,26 @@ impl AdaBoost {
         seed: u64,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot boost on zero samples");
+        let pre = Presorted::new(ds, attrs, indices);
+        Self::fit_presorted(ds, indices, &pre, initial_weights, params, seed)
+    }
+
+    /// [`Self::fit`] on a [`Presorted`] index built from the same `ds`,
+    /// `indices` and attributes. Boosting changes sample weights, never
+    /// the sample order, so every round — and every ensemble trained on
+    /// the same rows — shares the one index.
+    ///
+    /// # Panics
+    /// Panics on empty `indices`, zero rounds, or mismatched weight length.
+    pub(crate) fn fit_presorted(
+        ds: &Dataset,
+        indices: &[usize],
+        pre: &Presorted,
+        initial_weights: Option<&[f64]>,
+        params: &AdaBoostParams,
+        seed: u64,
+    ) -> Self {
+        assert!(!indices.is_empty(), "cannot boost on zero samples");
         assert!(params.n_estimators > 0, "need at least one boosting round");
         let n = indices.len();
         let mut w: Vec<f64> = match initial_weights {
@@ -66,7 +90,7 @@ impl AdaBoost {
         let mut stages = Vec::with_capacity(params.n_estimators);
         for round in 0..params.n_estimators {
             let tree =
-                DecisionTree::fit(ds, attrs, indices, Some(&w), &params.tree, seed ^ round as u64);
+                DecisionTree::fit_presorted(pre, Some(&w), &params.tree, seed ^ round as u64);
             let preds: Vec<u8> =
                 indices.iter().map(|&i| tree.predict_row(ds.row(i))).collect();
             let err: f64 = indices
@@ -106,13 +130,35 @@ impl AdaBoost {
             stages.push((tree, alpha));
         }
 
-        let name = format!(
-            "adaboost[T={},d={},{}]",
-            params.n_estimators,
-            params.tree.max_depth,
-            params.tree.criterion.short_name()
+        Self { stages, name: boost_name(params.n_estimators, &params.tree) }
+    }
+
+    /// The ensemble `params.n_estimators` rounds would have produced,
+    /// cut from this one: its first `min(n_estimators, n_stages)` stages,
+    /// named for `n_estimators`.
+    ///
+    /// Exact when this ensemble was fitted with at least `n_estimators`
+    /// rounds of the same `params.tree` on the same rows and initial
+    /// weights, and `params.tree.max_features` is `None`:
+    ///
+    /// * round `r`'s weights depend only on rounds `0..r`, and both early
+    ///   stops (perfect learner, `err ≥ 0.5`) end the ensemble at the same
+    ///   round whatever the round budget, so the shorter fit is a prefix;
+    /// * the per-round seed only feeds the feature-subsample RNG, which a
+    ///   tree without `max_features` never draws from.
+    ///
+    /// # Panics
+    /// Panics if `params.tree.max_features` is set.
+    pub(crate) fn truncated(&self, params: &AdaBoostParams) -> Self {
+        assert!(
+            params.tree.max_features.is_none(),
+            "feature-subsampled rounds depend on the seed; refit instead"
         );
-        Self { stages, name }
+        let keep = params.n_estimators.min(self.stages.len());
+        Self {
+            stages: self.stages[..keep].to_vec(),
+            name: boost_name(params.n_estimators, &params.tree),
+        }
     }
 
     /// Number of fitted stages (≤ `n_estimators` due to early stopping).
@@ -271,6 +317,31 @@ mod tests {
         for i in 0..ds.len() {
             assert_eq!(a.predict_row(ds.row(i)), b.predict_row(ds.row(i)));
         }
+    }
+
+    #[test]
+    fn truncation_equals_the_shorter_fit() {
+        let ds = interval_dataset(300, 6);
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let long = AdaBoostParams { n_estimators: 12, ..Default::default() };
+        let short = AdaBoostParams { n_estimators: 4, ..Default::default() };
+        // Different seeds on purpose: without feature subsampling the seed
+        // feeds nothing.
+        let cut = AdaBoost::fit(&ds, &[0], &idx, None, &long, 1).truncated(&short);
+        let fitted = AdaBoost::fit(&ds, &[0], &idx, None, &short, 2);
+        assert_eq!(cut.name(), "adaboost[T=4,d=1,gini]");
+        assert_eq!(cut.name(), fitted.name());
+        assert_eq!(cut.stages, fitted.stages);
+    }
+
+    #[test]
+    #[should_panic(expected = "refit instead")]
+    fn truncating_a_subsampled_ensemble_panics() {
+        let ds = interval_dataset(50, 7);
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let mut params = AdaBoostParams::default();
+        params.tree.max_features = Some(1);
+        AdaBoost::fit(&ds, &[0], &idx, None, &params, 0).truncated(&params);
     }
 
     #[test]

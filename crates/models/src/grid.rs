@@ -7,8 +7,9 @@
 
 use crate::boost::{AdaBoost, AdaBoostParams};
 use crate::forest::{RandomForest, RandomForestParams};
+use crate::persist::ModelSpec;
 use crate::traits::Classifier;
-use crate::tree::{SplitCriterion, TreeParams};
+use crate::tree::{Presorted, SplitCriterion, TreeParams};
 use falcc_dataset::{AttrId, Dataset};
 use std::sync::Arc;
 
@@ -44,26 +45,77 @@ impl GridPoint {
         indices: &[usize],
         seed: u64,
     ) -> Arc<dyn Classifier> {
-        let tree = TreeParams {
-            max_depth: self.max_depth,
-            criterion: self.criterion,
-            ..Default::default()
-        };
+        self.train(ds, attrs, indices, None, seed).into_classifier()
+    }
+
+    /// [`Self::fit`], returning the model's spec. An AdaBoost point trains
+    /// on `pre` when given — a [`Presorted`] index over the same `ds`,
+    /// `attrs` and `indices` — instead of building its own.
+    pub(crate) fn train(
+        &self,
+        ds: &Dataset,
+        attrs: &[AttrId],
+        indices: &[usize],
+        pre: Option<&Presorted>,
+        seed: u64,
+    ) -> ModelSpec {
         match self.trainer {
             TrainerKind::AdaBoost => {
-                let params = AdaBoostParams { n_estimators: self.n_estimators, tree };
-                Arc::new(AdaBoost::fit(ds, attrs, indices, None, &params, seed))
+                let params = self.boost_params();
+                ModelSpec::Boost(match pre {
+                    Some(pre) => AdaBoost::fit_presorted(ds, indices, pre, None, &params, seed),
+                    None => AdaBoost::fit(ds, attrs, indices, None, &params, seed),
+                })
             }
             TrainerKind::RandomForest => {
                 let params = RandomForestParams {
                     n_estimators: self.n_estimators,
-                    tree,
+                    tree: self.tree_params(),
                     ..Default::default()
                 };
-                Arc::new(RandomForest::fit(ds, attrs, indices, &params, seed))
+                ModelSpec::Forest(RandomForest::fit(ds, attrs, indices, &params, seed))
             }
         }
     }
+
+    fn tree_params(&self) -> TreeParams {
+        TreeParams { max_depth: self.max_depth, criterion: self.criterion, ..Default::default() }
+    }
+
+    /// The boosting parameters of an AdaBoost point.
+    pub(crate) fn boost_params(&self) -> AdaBoostParams {
+        AdaBoostParams { n_estimators: self.n_estimators, tree: self.tree_params() }
+    }
+}
+
+/// For each slot of `grid`, the slot whose model it can be cut from with
+/// [`AdaBoost::truncated`]: among the AdaBoost points with the same depth
+/// and criterion and no feature subsampling, the earliest one with more
+/// estimators than any other, or the point itself when none has more.
+/// Every other point (random forests, subsampled trees) is its own source
+/// and must be fitted.
+pub(crate) fn truncation_sources(grid: &[GridPoint]) -> Vec<usize> {
+    let shares_prefix = |p: &GridPoint| {
+        p.trainer == TrainerKind::AdaBoost && p.tree_params().max_features.is_none()
+    };
+    grid.iter()
+        .enumerate()
+        .map(|(i, p)| {
+            if !shares_prefix(p) {
+                return i;
+            }
+            let mut source = i;
+            for (j, q) in grid.iter().enumerate() {
+                let sibling = shares_prefix(q)
+                    && q.max_depth == p.max_depth
+                    && q.criterion == p.criterion;
+                if sibling && q.n_estimators > grid[source].n_estimators {
+                    source = j;
+                }
+            }
+            source
+        })
+        .collect()
 }
 
 /// The paper's 8-point grid for a trainer family.
@@ -110,6 +162,20 @@ mod tests {
             seen.insert((p.n_estimators, p.max_depth, p.criterion.short_name()));
         }
         assert_eq!(seen.len(), 8);
+    }
+
+    #[test]
+    fn each_t5_boosting_point_is_cut_from_its_t20_sibling() {
+        let boost = paper_grid(TrainerKind::AdaBoost);
+        let sources = truncation_sources(&boost);
+        assert_eq!(sources, vec![4, 5, 6, 7, 4, 5, 6, 7]);
+        for (i, &s) in sources.iter().enumerate() {
+            assert_eq!(boost[i].max_depth, boost[s].max_depth);
+            assert_eq!(boost[i].criterion, boost[s].criterion);
+        }
+        // Forests draw bootstraps from their seed: every point is fitted.
+        let forest = paper_grid(TrainerKind::RandomForest);
+        assert_eq!(truncation_sources(&forest), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use parallel::{derive_seed, parallel_map, parallel_map_range, resolve_thread
 pub use persist::ModelSpec;
 pub use pool::{enumerate_combinations, GridCheckpoint, ModelPool, PoolConfig, TrainedModel};
 pub use traits::{predict_dataset, predict_proba_dataset, Classifier};
-pub use tree::{DecisionTree, SplitCriterion, TreeParams};
+pub use tree::{DecisionTree, Presorted, SplitCriterion, TreeParams};

@@ -12,14 +12,14 @@
 //! search for a maximally diverse ensemble.
 
 use crate::bayes::GaussianNb;
-use crate::grid::{paper_grid, TrainerKind};
+use crate::grid::{paper_grid, truncation_sources, GridPoint, TrainerKind};
 use crate::knn_model::KnnClassifier;
 use crate::linear::{LogisticParams, LogisticRegression};
 use crate::parallel::parallel_map;
 use crate::persist::ModelSpec;
 use crate::traits::{predict_dataset, Classifier};
-use crate::tree::{DecisionTree, TreeParams};
-use falcc_dataset::{Dataset, GroupId};
+use crate::tree::{DecisionTree, Presorted, TreeParams};
+use falcc_dataset::{AttrId, Dataset, GroupId};
 use falcc_metrics::shannon_entropy_diversity;
 use std::sync::Arc;
 
@@ -156,41 +156,7 @@ impl ModelPool {
         let attrs: Vec<usize> = (0..train.n_attrs()).collect();
         let all_idx: Vec<usize> = (0..train.len()).collect();
         let grid = paper_grid(cfg.trainer);
-        falcc_telemetry::counters::POOL_GRID_POINTS.add(grid.len() as u64);
-        // Grid points are independent: fit them in parallel. Each point's
-        // seed is a function of its grid index only, and `parallel_map`
-        // returns results in grid order, so the pool is identical for
-        // every thread count. Worker spans parent under the grid-fit span
-        // by explicit id with the grid index as ordinal, so the trace tree
-        // is likewise identical for every thread count.
-        let grid_sp = falcc_telemetry::span("pool.grid_fit");
-        let grid_sp_id = grid_sp.id();
-        let mut slots: Vec<Option<Arc<dyn Classifier>>> = (0..grid.len())
-            .map(|i| {
-                ckpt.as_deref_mut()
-                    .and_then(|c| c.load(i))
-                    .map(ModelSpec::into_classifier)
-            })
-            .collect();
-        let missing: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        let fitted = parallel_map(&missing, cfg.threads, |_, &i| {
-            let _w = falcc_telemetry::span_under(grid_sp_id, "pool.grid_point", i as u64);
-            grid[i].fit(train, &attrs, &all_idx, cfg.seed ^ (i as u64) << 8)
-        });
-        for (&i, model) in missing.iter().zip(&fitted) {
-            if let Some(c) = ckpt.as_deref_mut() {
-                if let Some(spec) = model.to_spec() {
-                    c.store(i, &spec);
-                }
-            }
-            slots[i] = Some(model.clone());
-        }
-        let candidates: Vec<Arc<dyn Classifier>> = slots.into_iter().flatten().collect();
-        drop(grid_sp);
+        let candidates = train_grid(&grid, train, &attrs, &all_idx, cfg, ckpt.as_deref_mut());
 
         let sel_sp = falcc_telemetry::span("pool.diversity_select");
         let keep = if cfg.pool_size == 0 || cfg.pool_size >= candidates.len() {
@@ -388,6 +354,79 @@ impl ModelPool {
             .collect();
         shannon_entropy_diversity(&preds)
     }
+}
+
+/// Fits the grid on all of `train`, returning one model per grid slot in
+/// slot order.
+///
+/// Slots the checkpoint holds are revived. Of the rest, only the
+/// truncation sources ([`truncation_sources`]) are fitted — each
+/// AdaBoost T=5 member is cut from its T=20 sibling, fitted or revived —
+/// and every AdaBoost fit shares one [`Presorted`] index. Both shortcuts
+/// are exact (see [`AdaBoost::truncated`]), so the models are the same
+/// as fitting each slot alone with its slot-derived seed. Every new slot
+/// is stored in slot order after the parallel fit, so the store sequence
+/// is deterministic.
+///
+/// Fitted points are independent and fitted in parallel; `parallel_map`
+/// returns them in input order, so the pool is identical for every
+/// thread count. Worker spans parent under the grid-fit span by explicit
+/// id with the slot as ordinal, so the trace tree is likewise identical
+/// for every thread count.
+fn train_grid(
+    grid: &[GridPoint],
+    train: &Dataset,
+    attrs: &[AttrId],
+    all_idx: &[usize],
+    cfg: &PoolConfig,
+    mut ckpt: Option<&mut (dyn GridCheckpoint + '_)>,
+) -> Vec<Arc<dyn Classifier>> {
+    falcc_telemetry::counters::POOL_GRID_POINTS.add(grid.len() as u64);
+    let grid_sp = falcc_telemetry::span("pool.grid_fit");
+    let grid_sp_id = grid_sp.id();
+    let revived: Vec<Option<ModelSpec>> =
+        (0..grid.len()).map(|i| ckpt.as_deref_mut().and_then(|c| c.load(i))).collect();
+    let sources = truncation_sources(grid);
+    let missing: Vec<usize> = (0..grid.len()).filter(|&i| revived[i].is_none()).collect();
+    // A source is fitted unless a revived ensemble can be cut instead.
+    let mut to_fit: Vec<usize> = missing
+        .iter()
+        .map(|&i| sources[i])
+        .filter(|&s| !matches!(revived[s], Some(ModelSpec::Boost(_))))
+        .collect();
+    to_fit.sort_unstable();
+    to_fit.dedup();
+    let pre = to_fit.iter().any(|&s| grid[s].trainer == TrainerKind::AdaBoost).then(|| {
+        let _sp = falcc_telemetry::span("pool.presort");
+        Presorted::new(train, attrs, all_idx)
+    });
+    let fitted = parallel_map(&to_fit, cfg.threads, |_, &s| {
+        let _w = falcc_telemetry::span_under(grid_sp_id, "pool.grid_point", s as u64);
+        grid[s].train(train, attrs, all_idx, pre.as_ref(), cfg.seed ^ (s as u64) << 8)
+    });
+    let mut new_specs: Vec<Option<ModelSpec>> = vec![None; grid.len()];
+    for &i in &missing {
+        let s = sources[i];
+        let source = match to_fit.binary_search(&s) {
+            Ok(k) => &fitted[k],
+            Err(_) => revived[s].as_ref().expect("unfitted source was revived"),
+        };
+        let spec = match source {
+            ModelSpec::Boost(model) if s != i => {
+                ModelSpec::Boost(model.truncated(&grid[i].boost_params()))
+            }
+            spec => spec.clone(),
+        };
+        if let Some(c) = ckpt.as_deref_mut() {
+            c.store(i, &spec);
+        }
+        new_specs[i] = Some(spec);
+    }
+    revived
+        .into_iter()
+        .zip(new_specs)
+        .map(|(old, new)| old.or(new).expect("every slot revived or fitted").into_classifier())
+        .collect()
 }
 
 /// Greedy forward selection maximising ensemble entropy: seeds with the
@@ -674,6 +713,50 @@ mod tests {
                         "probability drift at row {i}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_cuts_missing_t5_members_from_revived_t20_siblings() {
+        // A journal holding only the T=20 slots 4–7 (round-tripped through
+        // JSON like the on-disk journal): the T=5 slots 0–3 are cut from
+        // them, the split slots refitted, and the pool is byte-identical
+        // to an uninterrupted run at every thread count.
+        let split = small_split();
+        let spec_bytes = |pool: &ModelPool| -> Vec<String> {
+            pool.models
+                .iter()
+                .map(|m| serde_json::to_string(&m.model.to_spec().unwrap()).unwrap())
+                .collect()
+        };
+        for threads in [1, 2, 8] {
+            let cfg =
+                PoolConfig { pool_size: 0, split_by_group: true, threads, ..Default::default() };
+            let plain = ModelPool::train_diverse(&split.train, &split.validation, &cfg);
+            let mut full = MemoryCheckpoint::default();
+            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, &cfg, &mut full);
+
+            let mut partial = MemoryCheckpoint::default();
+            for slot in 4..8 {
+                let json = serde_json::to_string(&full.slots[&slot]).unwrap();
+                partial.slots.insert(slot, serde_json::from_str(&json).unwrap());
+            }
+            let resumed = ModelPool::train_diverse_checkpointed(
+                &split.train,
+                &split.validation,
+                &cfg,
+                &mut partial,
+            );
+            assert_eq!(partial.loaded, vec![4, 5, 6, 7]);
+            assert_eq!(partial.stored, vec![0, 1, 2, 3, 8, 9], "new slots stored in slot order");
+            assert_eq!(spec_bytes(&resumed), spec_bytes(&plain), "threads = {threads}");
+            for slot in 0..10 {
+                assert_eq!(
+                    serde_json::to_string(&partial.slots[&slot]).unwrap(),
+                    serde_json::to_string(&full.slots[&slot]).unwrap(),
+                    "journaled slot {slot} differs"
+                );
             }
         }
     }

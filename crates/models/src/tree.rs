@@ -9,9 +9,13 @@
 //! Two builders produce **bit-identical** trees:
 //!
 //! * [`DecisionTree::fit`] — the production *presorted* builder: every
-//!   candidate feature's sample order is sorted **once** per tree
-//!   (O(d·n log n)) and threaded through the recursion by stable
-//!   partitioning, so each node costs O(d·m) instead of O(d·m log m).
+//!   candidate feature's sample order is sorted **once** per training set
+//!   (O(d·n log n)) into a read-only [`Presorted`] index and threaded
+//!   through the recursion by stable partitioning, so each node costs
+//!   O(d·m) instead of O(d·m log m). Sample weights do not enter the
+//!   order, so AdaBoost rounds and grid points that train on the same
+//!   rows share one index via [`DecisionTree::fit_presorted`]; each tree
+//!   copies only the order slab it partitions.
 //! * [`DecisionTree::fit_naive`] — the textbook builder that re-sorts at
 //!   every node; kept as the reference implementation for the
 //!   proof-of-equivalence harness and the kernel benchmarks.
@@ -131,9 +135,26 @@ impl DecisionTree {
         params: &TreeParams,
         seed: u64,
     ) -> Self {
-        check_fit_inputs(attrs, indices, weights);
-        let mut builder = FastBuilder::new(ds, attrs, indices, weights, params, seed);
-        builder.build(0, indices.len(), 0);
+        Self::fit_presorted(&Presorted::new(ds, attrs, indices), weights, params, seed)
+    }
+
+    /// [`Self::fit`] on an existing [`Presorted`] index: the same tree as
+    /// `fit` on the `ds`, `attrs` and `indices` the index was built from.
+    /// `weights`, when given, is parallel to those indices.
+    ///
+    /// # Panics
+    /// Panics if `weights` has the wrong length.
+    pub fn fit_presorted(
+        pre: &Presorted,
+        weights: Option<&[f64]>,
+        params: &TreeParams,
+        seed: u64,
+    ) -> Self {
+        if let Some(w) = weights {
+            assert_eq!(w.len(), pre.n, "one weight per training sample");
+        }
+        let mut builder = FastBuilder::new(pre, weights, params, seed);
+        builder.build(0, pre.n, 0);
         Self { nodes: builder.nodes, name: tree_name(params) }
     }
 
@@ -360,46 +381,35 @@ fn partition<T: Copy>(items: &mut [T], mut pred: impl FnMut(&T) -> bool) -> usiz
     store
 }
 
-/// The presorted CART builder behind [`DecisionTree::fit`].
+/// A read-only presort index over one training set: the rows of a
+/// dataset selected by `indices`, restricted to `attrs`.
 ///
-/// Sample "slots" are positions into the caller's `indices`; per candidate
-/// attribute the slots are sorted by value **once**, and every node owns a
-/// contiguous segment `[lo, hi)` of all per-attribute orders plus the
-/// naive builder's item order. Splitting a node stably partitions each of
-/// those arrays in O(d·m) — no re-sorting below the root.
-struct FastBuilder<'a> {
-    params: &'a TreeParams,
-    attrs: &'a [AttrId],
-    rng: StdRng,
-    nodes: Vec<Node>,
+/// Sample "slots" are positions into `indices`. Per attribute the slots
+/// are sorted by value **once** (stable: tied values keep ascending slot
+/// order, exactly like the naive builder's per-node stable sort). Sample
+/// weights play no part in the index, so any number of trees — boosting
+/// rounds, grid points, worker threads — can share it; each tree copies
+/// only the order slab it partitions.
+#[derive(Debug)]
+pub struct Presorted {
+    attrs: Vec<AttrId>,
     n: usize,
-    /// `vals[a_idx * n + slot]` — candidate attribute values per slot.
+    /// `vals[a_idx * n + slot]` — attribute values per slot.
     vals: Vec<f64>,
-    /// `orders[a_idx * n ..][lo..hi]` — slots sorted by attribute value
-    /// (ties in original slot order, matching the naive stable sort).
+    /// `orders[a_idx * n ..][..n]` — slots sorted by attribute value.
     orders: Vec<u32>,
-    /// Slots in the naive builder's item order (original order filtered by
-    /// the path predicates); the weight/label sums iterate this order.
-    items: Vec<u32>,
-    /// Per slot: sample weight.
-    weights: Vec<f64>,
     /// Per slot: `label == 1`.
     is_pos: Vec<bool>,
-    /// Per slot scratch: side of the current split.
-    goes_left: Vec<bool>,
-    /// Partition scratch (right side), reused across nodes.
-    scratch: Vec<u32>,
 }
 
-impl<'a> FastBuilder<'a> {
-    fn new(
-        ds: &Dataset,
-        attrs: &'a [AttrId],
-        indices: &[usize],
-        weights: Option<&[f64]>,
-        params: &'a TreeParams,
-        seed: u64,
-    ) -> Self {
+impl Presorted {
+    /// Gathers and sorts every attribute in `attrs` over the rows of `ds`
+    /// selected by `indices`.
+    ///
+    /// # Panics
+    /// Panics if `indices` or `attrs` is empty.
+    pub fn new(ds: &Dataset, attrs: &[AttrId], indices: &[usize]) -> Self {
+        check_fit_inputs(attrs, indices, None);
         let n = indices.len();
         let d = attrs.len();
         let mut vals = Vec::with_capacity(d * n);
@@ -410,8 +420,6 @@ impl<'a> FastBuilder<'a> {
         for a_idx in 0..d {
             let base = a_idx * n;
             let mut order: Vec<u32> = (0..n as u32).collect();
-            // Stable: tied values keep ascending slot order, exactly like
-            // the naive builder's per-node stable sort.
             order.sort_by(|&s1, &s2| {
                 vals[base + s1 as usize]
                     .partial_cmp(&vals[base + s2 as usize])
@@ -420,19 +428,58 @@ impl<'a> FastBuilder<'a> {
             orders.extend_from_slice(&order);
         }
         Self {
-            params,
-            attrs,
-            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f),
-            nodes: Vec::new(),
+            attrs: attrs.to_vec(),
             n,
             vals,
             orders,
+            is_pos: indices.iter().map(|&row| ds.label(row) == 1).collect(),
+        }
+    }
+}
+
+/// The presorted CART builder behind [`DecisionTree::fit_presorted`].
+///
+/// Every node owns a contiguous segment `[lo, hi)` of all per-attribute
+/// orders plus the naive builder's item order. Splitting a node stably
+/// partitions each of those arrays in O(d·m) — no re-sorting below the
+/// root.
+struct FastBuilder<'a> {
+    params: &'a TreeParams,
+    pre: &'a Presorted,
+    rng: StdRng,
+    nodes: Vec<Node>,
+    /// This tree's copy of `pre.orders`, partitioned node by node.
+    orders: Vec<u32>,
+    /// Slots in the naive builder's item order (original order filtered by
+    /// the path predicates); the weight/label sums iterate this order.
+    items: Vec<u32>,
+    /// Per slot: sample weight.
+    weights: Vec<f64>,
+    /// Per slot scratch: side of the current split.
+    goes_left: Vec<bool>,
+    /// Partition scratch (right side), reused across nodes.
+    scratch: Vec<u32>,
+}
+
+impl<'a> FastBuilder<'a> {
+    fn new(
+        pre: &'a Presorted,
+        weights: Option<&[f64]>,
+        params: &'a TreeParams,
+        seed: u64,
+    ) -> Self {
+        let n = pre.n;
+        Self {
+            params,
+            pre,
+            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f),
+            nodes: Vec::new(),
+            orders: pre.orders.clone(),
             items: (0..n as u32).collect(),
             weights: match weights {
                 Some(w) => w.to_vec(),
                 None => vec![1.0; n],
             },
-            is_pos: indices.iter().map(|&row| ds.label(row) == 1).collect(),
             goes_left: vec![false; n],
             scratch: Vec::with_capacity(n),
         }
@@ -440,19 +487,20 @@ impl<'a> FastBuilder<'a> {
 
     /// Position of `attr` within the candidate attribute list.
     fn attr_index(&self, attr: AttrId) -> usize {
-        self.attrs.iter().position(|&a| a == attr).expect("candidate attribute")
+        self.pre.attrs.iter().position(|&a| a == attr).expect("candidate attribute")
     }
 
     /// Builds the subtree over segment `[lo, hi)`, returning its node id.
     /// Children are pushed before parents, exactly like the naive builder.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let pre = self.pre;
         let m = hi - lo;
         let mut total_w = 0.0;
         let mut pos_w = 0.0;
         for &slot in &self.items[lo..hi] {
             let w = self.weights[slot as usize];
             total_w += w;
-            if self.is_pos[slot as usize] {
+            if pre.is_pos[slot as usize] {
                 pos_w += w;
             }
         }
@@ -469,23 +517,23 @@ impl<'a> FastBuilder<'a> {
         }
 
         let candidates =
-            sample_candidates(self.attrs, self.params.max_features, &mut self.rng);
+            sample_candidates(&pre.attrs, self.params.max_features, &mut self.rng);
         let parent_imp = self.params.criterion.impurity(p);
         let mut best: Option<(AttrId, f64, f64)> = None; // (attr, threshold, gain)
         let mut evaluated = 0u64;
 
         for &attr in &candidates {
-            let base = self.attr_index(attr) * self.n;
+            let base = self.attr_index(attr) * pre.n;
             let order = &self.orders[base + lo..base + hi];
             let mut left_w = 0.0;
             let mut left_pos = 0.0;
             for cut in 1..m {
                 let s_prev = order[cut - 1] as usize;
-                let v_prev = self.vals[base + s_prev];
+                let v_prev = pre.vals[base + s_prev];
                 let w_prev = self.weights[s_prev];
                 left_w += w_prev;
-                left_pos += if self.is_pos[s_prev] { w_prev } else { 0.0 };
-                let v_here = self.vals[base + order[cut] as usize];
+                left_pos += if pre.is_pos[s_prev] { w_prev } else { 0.0 };
+                let v_here = pre.vals[base + order[cut] as usize];
                 if v_here <= v_prev {
                     continue; // no boundary between equal values
                 }
@@ -518,10 +566,10 @@ impl<'a> FastBuilder<'a> {
 
         // Mark each slot's side, then stably partition the item order and
         // every per-attribute order around the same boundary.
-        let split_base = self.attr_index(attr) * self.n;
+        let split_base = self.attr_index(attr) * pre.n;
         let mut n_left = 0;
         for &slot in &self.items[lo..hi] {
-            let left = self.vals[split_base + slot as usize] <= threshold;
+            let left = pre.vals[split_base + slot as usize] <= threshold;
             self.goes_left[slot as usize] = left;
             n_left += usize::from(left);
         }
@@ -532,8 +580,8 @@ impl<'a> FastBuilder<'a> {
             return (self.nodes.len() - 1) as u32;
         }
         partition_slots(&mut self.items[lo..hi], &self.goes_left, &mut self.scratch);
-        for a_idx in 0..self.attrs.len() {
-            let base = a_idx * self.n;
+        for a_idx in 0..pre.attrs.len() {
+            let base = a_idx * pre.n;
             partition_slots(
                 &mut self.orders[base + lo..base + hi],
                 &self.goes_left,

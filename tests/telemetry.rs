@@ -80,7 +80,7 @@ fn recorded_trace_is_deterministic_in_structure() {
     // Durations vary run to run, but names, nesting, ordinals, and metric
     // values must not: two identical runs produce the same skeleton even
     // at different thread counts.
-    type Skeleton = (Vec<(String, u64)>, Vec<(String, u64)>);
+    type Skeleton = (Vec<(String, u64, u64)>, Vec<(String, u64)>);
     let skeleton = |threads: usize| -> Skeleton {
         falcc_telemetry::enable();
         falcc_telemetry::reset();
@@ -93,10 +93,10 @@ fn recorded_trace_is_deterministic_in_structure() {
             snap: &falcc_telemetry::Snapshot,
             id: u64,
             depth: u64,
-            out: &mut Vec<(String, u64)>,
+            out: &mut Vec<(String, u64, u64)>,
         ) {
             for child in snap.children_of(id) {
-                out.push((child.name.to_string(), depth));
+                out.push((child.name.to_string(), depth, child.ordinal));
                 walk(snap, child.id, depth + 1, out);
             }
         }
@@ -105,6 +105,33 @@ fn recorded_trace_is_deterministic_in_structure() {
     };
     let (shape_ref, counters_ref) = skeleton(1);
     assert!(!shape_ref.is_empty());
+
+    // Grid fitting: one shared presort, and a grid-point span only for
+    // the ensembles actually fitted — the four T=20 AdaBoost points
+    // (slots 4–7); the T=5 points are cut from them.
+    let at = shape_ref
+        .iter()
+        .position(|(name, _, _)| name == "pool.grid_fit")
+        .expect("grid-fit span");
+    let depth = shape_ref[at].1;
+    let grid_children: Vec<(&str, u64)> = shape_ref[at + 1..]
+        .iter()
+        .take_while(|(_, d, _)| *d > depth)
+        .filter(|(_, d, _)| *d == depth + 1)
+        .map(|(name, _, ordinal)| (name.as_str(), *ordinal))
+        .collect();
+    let unordered = falcc_telemetry::span::UNORDERED;
+    assert_eq!(
+        grid_children,
+        vec![
+            ("pool.grid_point", 4),
+            ("pool.grid_point", 5),
+            ("pool.grid_point", 6),
+            ("pool.grid_point", 7),
+            ("pool.presort", unordered),
+        ]
+    );
+
     for threads in [2, 8] {
         let (shape, counters) = skeleton(threads);
         assert_eq!(shape, shape_ref, "span tree differs at {threads} threads");
