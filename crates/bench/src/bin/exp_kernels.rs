@@ -1,8 +1,7 @@
 //! Kernel benchmark: times the naive reference implementations against
-//! the fast kernels (presorted CART, bounded Lloyd, warm-started
-//! LOG-Means, pruned kNN / nearest-centroid) on the `exp_runtime`-scale
-//! synthetic Adult dataset, checks equivalence, and writes
-//! `BENCH_kernels.json` at the repo root.
+//! the fast kernels (presorted CART, bounded Lloyd) on the
+//! `exp_runtime`-scale synthetic Adult dataset, checks equivalence, and
+//! writes `BENCH_kernels.json` at the repo root.
 //!
 //! `--smoke` shrinks the data and repetition count for CI.
 
@@ -34,12 +33,11 @@ fn main() {
         report.train_rows
     ));
 
-    // Bit-equivalence is a hard promise for everything except the
-    // warm-started LOG-Means probes; fail loudly if a kernel diverged.
+    // Bit-equivalence is a hard promise; fail loudly if a kernel diverged.
     let broken: Vec<&str> = report
         .kernels
         .iter()
-        .filter(|k| !k.equivalent && k.kernel != "log_means")
+        .filter(|k| !k.equivalent)
         .map(|k| k.kernel.as_str())
         .collect();
     if !broken.is_empty() {

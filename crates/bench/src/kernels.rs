@@ -1,14 +1,14 @@
 //! Naive-vs-fast timing harness for the hot numeric kernels.
 //!
 //! Every fast kernel in this codebase ships next to its naive reference
-//! implementation (presorted vs re-sorting CART, bounded vs plain Lloyd,
-//! pruned vs full distance scans). This module times both sides on the
-//! same data the runtime experiment uses and — where the fast kernel
-//! promises bit-identical output — verifies that promise on the spot.
+//! implementation (presorted vs re-sorting CART, bounded vs plain Lloyd).
+//! This module times both sides on the same data the runtime experiment
+//! uses and verifies on the spot that the fast kernel's output is
+//! bit-identical.
 //! `exp_kernels` serialises the result to `BENCH_kernels.json` so the
 //! perf trajectory is tracked across PRs.
 
-use falcc_clustering::{log_means, BruteKnn, KEstimateConfig, KMeans, KdTree};
+use falcc_clustering::KMeans;
 use falcc_dataset::dataset::ProjectedMatrix;
 use falcc_dataset::{Dataset, SplitRatios, ThreeWaySplit};
 use falcc_models::{DecisionTree, TreeParams};
@@ -27,11 +27,10 @@ pub struct KernelTiming {
     pub fast_ms: f64,
     /// `naive_ms / fast_ms`.
     pub speedup: f64,
-    /// Whether the two sides produced identical outputs on this run (for
-    /// bit-equivalent kernels this must be `true`; warm-started LOG-Means
-    /// legitimately improves its probes, see `note`).
+    /// Whether the two sides produced identical outputs on this run; every
+    /// kernel promises bit-identical output, so this must be `true`.
     pub equivalent: bool,
-    /// What was compared / why a difference is expected.
+    /// What was compared.
     pub note: String,
 }
 
@@ -88,13 +87,9 @@ pub fn bench_kernels(scale: f64, seed: u64, reps: usize) -> KernelReport {
     let split = ThreeWaySplit::split(&ds, SplitRatios::PAPER, seed).expect("split");
     let attrs = split.train.schema().non_sensitive_attrs();
 
-    let mut kernels = Vec::new();
-    kernels.push(bench_tree(&split.train, &attrs, seed, reps));
     let projected = split.validation.project(&attrs, None);
-    kernels.push(bench_lloyd(&projected, seed, reps));
-    kernels.push(bench_log_means(&projected, seed, reps));
-    kernels.extend(bench_knn(&split.validation, &split.test, &attrs, reps));
-    kernels.push(bench_nearest_centroid(&projected, &split.test, &attrs, seed, reps));
+    let kernels =
+        vec![bench_tree(&split.train, &attrs, seed, reps), bench_lloyd(&projected, seed, reps)];
 
     KernelReport { scale, seed, reps, train_rows: split.train.len(), kernels }
 }
@@ -147,131 +142,6 @@ fn bench_lloyd(x: &ProjectedMatrix, seed: u64, reps: usize) -> KernelTiming {
     )
 }
 
-/// LOG-Means: warm-started + bounded vs cold + naive probes.
-fn bench_log_means(x: &ProjectedMatrix, seed: u64, reps: usize) -> KernelTiming {
-    let mut cfg = KEstimateConfig::for_rows(x.n_rows, seed);
-    cfg.warm_start = false;
-    cfg.bounds = false;
-    let naive_ms = median_ms(reps, || {
-        std::hint::black_box(log_means(x, &cfg));
-    });
-    let k_naive = log_means(x, &cfg);
-    cfg.warm_start = true;
-    cfg.bounds = true;
-    let fast_ms = median_ms(reps, || {
-        std::hint::black_box(log_means(x, &cfg));
-    });
-    let k_fast = log_means(x, &cfg);
-    timing(
-        "log_means",
-        naive_ms,
-        fast_ms,
-        k_fast == k_naive,
-        &format!(
-            "bounds are bit-equivalent; warm starts may legitimately tighten \
-             probe SSEs (chose k={k_fast} vs k={k_naive} cold)"
-        ),
-    )
-}
-
-/// Batch kNN: pruned kd-tree and select-based brute-force top-k vs their
-/// unpruned / full-sort references.
-fn bench_knn(
-    validation: &Dataset,
-    test: &Dataset,
-    attrs: &[usize],
-    reps: usize,
-) -> Vec<KernelTiming> {
-    const K: usize = 10;
-    let index = validation.project(attrs, None);
-    let queries = test.project(attrs, None);
-    let n_q = queries.n_rows.min(500);
-
-    let tree = KdTree::build(index.clone());
-    let tree_naive_ms = median_ms(reps, || {
-        for i in 0..n_q {
-            std::hint::black_box(tree.nearest_reference(queries.row(i), K));
-        }
-    });
-    let tree_fast_ms = median_ms(reps, || {
-        for i in 0..n_q {
-            std::hint::black_box(tree.nearest(queries.row(i), K));
-        }
-    });
-    let tree_equiv = (0..n_q)
-        .all(|i| tree.nearest(queries.row(i), K) == tree.nearest_reference(queries.row(i), K));
-
-    let brute = BruteKnn::build(index);
-    let brute_naive_ms = median_ms(reps, || {
-        for i in 0..n_q {
-            std::hint::black_box(brute.nearest_naive(queries.row(i), K));
-        }
-    });
-    let brute_fast_ms = median_ms(reps, || {
-        for i in 0..n_q {
-            std::hint::black_box(brute.nearest(queries.row(i), K));
-        }
-    });
-    let brute_equiv = (0..n_q)
-        .all(|i| brute.nearest(queries.row(i), K) == brute.nearest_naive(queries.row(i), K));
-
-    vec![
-        timing(
-            "kdtree_knn",
-            tree_naive_ms,
-            tree_fast_ms,
-            tree_equiv,
-            &format!("{n_q} queries, k={K}, neighbour lists compared exactly"),
-        ),
-        timing(
-            "batch_knn",
-            brute_naive_ms,
-            brute_fast_ms,
-            brute_equiv,
-            &format!("brute-force top-k, {n_q} queries, k={K}, select_nth vs full sort"),
-        ),
-    ]
-}
-
-/// Online nearest-centroid match: norm-pruned vs full scan.
-fn bench_nearest_centroid(
-    x: &ProjectedMatrix,
-    test: &Dataset,
-    attrs: &[usize],
-    seed: u64,
-    reps: usize,
-) -> KernelTiming {
-    let model = KMeans::new(32, seed).fit(x);
-    let norms = model.centroid_norms();
-    let queries = test.project(attrs, None);
-    // The per-query cost is sub-microsecond; run several passes per
-    // measurement so the clock resolution doesn't dominate.
-    const PASSES: usize = 10;
-    let naive_ms = median_ms(reps, || {
-        for _ in 0..PASSES {
-            for i in 0..queries.n_rows {
-                std::hint::black_box(model.predict(queries.row(i)));
-            }
-        }
-    }) / PASSES as f64;
-    let fast_ms = median_ms(reps, || {
-        for _ in 0..PASSES {
-            for i in 0..queries.n_rows {
-                std::hint::black_box(model.predict_pruned(queries.row(i), &norms));
-            }
-        }
-    }) / PASSES as f64;
-    let equivalent = (0..queries.n_rows)
-        .all(|i| model.predict(queries.row(i)) == model.predict_pruned(queries.row(i), &norms));
-    timing(
-        "nearest_centroid",
-        naive_ms,
-        fast_ms,
-        equivalent,
-        &format!("{} online matches against k=32 centroids", queries.n_rows),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,15 +149,11 @@ mod tests {
     #[test]
     fn smoke_report_is_equivalent_and_serialisable() {
         let report = bench_kernels(0.01, 3, 1);
-        assert_eq!(report.kernels.len(), 6);
+        assert_eq!(report.kernels.len(), 2);
         for k in &report.kernels {
             assert!(k.naive_ms >= 0.0 && k.fast_ms >= 0.0, "{}", k.kernel);
             assert!(k.speedup > 0.0, "{}", k.kernel);
-            // Every kernel except warm-started LOG-Means promises
-            // bit-identical outputs.
-            if k.kernel != "log_means" {
-                assert!(k.equivalent, "{} diverged from its reference", k.kernel);
-            }
+            assert!(k.equivalent, "{} diverged from its reference", k.kernel);
         }
         let json = serde_json::to_string(&report).expect("serialise");
         assert!(json.contains("tree_training"));

@@ -10,17 +10,11 @@
 //! The tree splits on the axis of maximum spread at the median, stores
 //! point indices, and answers queries with branch-and-bound pruning. For
 //! the dataset sizes in the paper (≤ 72k rows, ≤ 91 dims) this is
-//! comfortably fast while remaining dependency-free.
-//!
-//! Leaf scans carry two exactness-preserving prunes (see the `kmeans`
-//! module docs for the shared reasoning): a cached norm-gap prefilter
-//! that skips points whose `(‖q‖−‖p‖)²` lower bound already exceeds the
-//! incumbent k-th distance, and an early-exit distance accumulation.
-//! Both leave the result **bit-identical** to the unpruned scan
-//! ([`KdTree::nearest_reference`] keeps that reference path alive for the
-//! equivalence tests and benchmarks).
+//! comfortably fast while remaining dependency-free. Leaf scans compute
+//! every surviving point's exact squared distance; the split planes are
+//! the only prune.
 
-use crate::kmeans::{sq_dist, sq_dist_within, LB_DEFLATE, NORM_GAP_MARGIN};
+use crate::kmeans::sq_dist;
 use falcc_dataset::dataset::ProjectedMatrix;
 
 /// A kd-tree over the rows of a [`ProjectedMatrix`].
@@ -29,9 +23,6 @@ pub struct KdTree {
     points: ProjectedMatrix,
     nodes: Vec<Node>,
     root: Option<usize>,
-    /// Euclidean norm of each indexed point, cached once at build time
-    /// for the leaf-scan norm-gap prefilter.
-    norms: Vec<f64>,
 }
 
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -50,32 +41,11 @@ enum Node {
 
 const LEAF_SIZE: usize = 16;
 
-/// Per-query leaf-scan tallies, accumulated in registers during the
-/// recursive search and flushed to the telemetry counters once per query
-/// (hot loops never touch an atomic per point).
-#[derive(Default)]
-struct ScanStats {
-    scanned: u64,
-    norm_gap_pruned: u64,
-    early_exit_pruned: u64,
-}
-
-impl ScanStats {
-    fn flush(&self) {
-        falcc_telemetry::counters::KNN_POINTS_SCANNED.add(self.scanned);
-        falcc_telemetry::counters::KNN_NORM_GAP_PRUNED.add(self.norm_gap_pruned);
-        falcc_telemetry::counters::KNN_EARLY_EXIT_PRUNED.add(self.early_exit_pruned);
-    }
-}
-
 impl KdTree {
     /// Builds a tree over all rows of `points`. The matrix is moved in; use
     /// [`Self::point`] to read points back.
     pub fn build(points: ProjectedMatrix) -> Self {
-        let norms = (0..points.n_rows)
-            .map(|i| points.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
-            .collect();
-        let mut tree = Self { points, nodes: Vec::new(), root: None, norms };
+        let mut tree = Self { points, nodes: Vec::new(), root: None };
         if tree.points.n_rows > 0 {
             let mut indices: Vec<u32> = (0..tree.points.n_rows as u32).collect();
             let root = tree.build_node(&mut indices);
@@ -154,32 +124,7 @@ impl KdTree {
     /// Panics if the query dimensionality does not match the indexed
     /// points.
     pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.points.n_cols, "query dimensionality mismatch");
-        let Some(root) = self.root else { return Vec::new() };
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut heap = BoundedMaxHeap::new(k);
-        let mut stats = ScanStats::default();
-        let q_norm = query.iter().map(|v| v * v).sum::<f64>().sqrt();
-        self.search_filtered(root, query, q_norm, &mut heap, &mut |_| true, true, &mut stats);
-        stats.flush();
-        heap.into_sorted()
-    }
-
-    /// [`Self::nearest`] without the leaf-scan prunes — the naive
-    /// reference the equivalence tests and `exp_kernels` compare against.
-    pub fn nearest_reference(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.points.n_cols, "query dimensionality mismatch");
-        let Some(root) = self.root else { return Vec::new() };
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut heap = BoundedMaxHeap::new(k);
-        let mut stats = ScanStats::default();
-        self.search_filtered(root, query, 0.0, &mut heap, &mut |_| true, false, &mut stats);
-        stats.flush();
-        heap.into_sorted()
+        self.nearest_filtered(query, k, |_| true)
     }
 
     /// Like [`Self::nearest`] but keeps only points accepted by `filter`
@@ -196,141 +141,44 @@ impl KdTree {
             return Vec::new();
         }
         let mut heap = BoundedMaxHeap::new(k);
-        let mut stats = ScanStats::default();
-        let q_norm = query.iter().map(|v| v * v).sum::<f64>().sqrt();
-        self.search_filtered(root, query, q_norm, &mut heap, &mut filter, true, &mut stats);
-        stats.flush();
+        // Leaf points reached are tallied in a register and flushed to the
+        // telemetry counter once per query, never per point.
+        let mut scanned = 0u64;
+        self.search_filtered(root, query, &mut heap, &mut filter, &mut scanned);
+        falcc_telemetry::counters::KNN_POINTS_SCANNED.add(scanned);
         heap.into_sorted()
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn search_filtered(
         &self,
         node: usize,
         query: &[f64],
-        q_norm: f64,
         heap: &mut BoundedMaxHeap,
         filter: &mut impl FnMut(usize) -> bool,
-        pruned: bool,
-        stats: &mut ScanStats,
+        scanned: &mut u64,
     ) {
         match &self.nodes[node] {
             Node::Leaf { indices } => {
                 for &i in indices {
                     let i = i as usize;
-                    if !filter(i) {
-                        continue;
-                    }
-                    if !pruned {
-                        stats.scanned += 1;
+                    if filter(i) {
+                        *scanned += 1;
                         heap.push(i, sq_dist(query, self.points.row(i)));
-                        continue;
-                    }
-                    // The heap accepts a point iff it is not full or the
-                    // distance strictly undercuts the worst kept one; both
-                    // prunes below only ever skip points provably at or
-                    // beyond that cutoff, so the heap evolves identically.
-                    let cutoff =
-                        if heap.is_full() { heap.worst() } else { f64::INFINITY };
-                    if cutoff.is_finite() {
-                        let gap = (q_norm - self.norms[i]).abs()
-                            - NORM_GAP_MARGIN * (q_norm + self.norms[i]);
-                        if gap > 0.0 && gap * gap * LB_DEFLATE >= cutoff {
-                            stats.norm_gap_pruned += 1;
-                            continue;
-                        }
-                    }
-                    stats.scanned += 1;
-                    if let Some(d) = sq_dist_within(query, self.points.row(i), cutoff) {
-                        heap.push(i, d);
-                    } else {
-                        stats.early_exit_pruned += 1;
                     }
                 }
             }
             Node::Split { axis, value, left, right } => {
                 let delta = query[*axis as usize] - value;
                 let (near, far) = if delta < 0.0 { (*left, *right) } else { (*right, *left) };
-                self.search_filtered(near, query, q_norm, heap, filter, pruned, stats);
+                self.search_filtered(near, query, heap, filter, scanned);
                 // Visit the far side only if the splitting plane is closer
                 // than the current k-th best (or the heap is not full).
                 if !heap.is_full() || delta * delta < heap.worst() {
-                    self.search_filtered(far, query, q_norm, heap, filter, pruned, stats);
+                    self.search_filtered(far, query, heap, filter, scanned);
                 }
             }
         }
     }
-}
-
-/// A brute-force kNN index over a point matrix with cached norms — the
-/// right tool when queries are few or the data is too high-dimensional
-/// for the kd-tree to prune well. [`Self::nearest`] replaces the full
-/// sort with a `select_nth_unstable` top-k; both paths order candidates
-/// by the total order `(distance, index)`, so their outputs are
-/// **identical**, element for element.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct BruteKnn {
-    points: ProjectedMatrix,
-    norms: Vec<f64>,
-}
-
-impl BruteKnn {
-    /// Builds the index (computes the per-point norms) over all rows.
-    pub fn build(points: ProjectedMatrix) -> Self {
-        let norms = (0..points.n_rows)
-            .map(|i| points.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
-            .collect();
-        Self { points, norms }
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.n_rows
-    }
-
-    /// `true` when no points are indexed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.n_rows == 0
-    }
-
-    fn distances(&self, query: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.points.n_cols, "query dimensionality mismatch");
-        (0..self.points.n_rows)
-            .map(|i| (i, sq_dist(query, self.points.row(i))))
-            .collect()
-    }
-
-    /// The `k` nearest neighbours as `(index, squared distance)`, sorted
-    /// ascending with ties broken by index: full-sort reference kernel.
-    pub fn nearest_naive(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut all = self.distances(query);
-        all.sort_by(cmp_dist_idx);
-        all.truncate(k);
-        all
-    }
-
-    /// The `k` nearest neighbours, identical to [`Self::nearest_naive`]
-    /// but selecting the top-k in O(n) before sorting only that prefix.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut all = self.distances(query);
-        if k == 0 {
-            return Vec::new();
-        }
-        if k < all.len() {
-            all.select_nth_unstable_by(k - 1, cmp_dist_idx);
-            all.truncate(k);
-        }
-        all.sort_by(cmp_dist_idx);
-        all
-    }
-}
-
-/// Total order on `(index, squared distance)` pairs: distance first,
-/// index as the tie-break.
-fn cmp_dist_idx(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
-    a.1.partial_cmp(&b.1).expect("distances are finite").then(a.0.cmp(&b.0))
 }
 
 /// Fixed-capacity max-heap keeping the k smallest distances seen.

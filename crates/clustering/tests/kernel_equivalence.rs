@@ -1,16 +1,25 @@
 //! Proof-of-equivalence suite for the clustering fast paths: the bounded
-//! Lloyd kernel, the norm-pruned nearest-centroid scan, the select-based
-//! brute-force top-k, and the norm-pruned kd-tree search must all return
-//! *bit-identical* results to their naive references on arbitrary data.
+//! Lloyd kernel, the flat centroid matrix's nearest-centroid scan, and the
+//! kd-tree's branch-and-bound search must all return the same results as
+//! their naive references on arbitrary data.
 //!
 //! These complement the unit tests inside the crate: proptest drives the
 //! geometry into the regimes where a sloppy bound would flip a result —
-//! duplicated points (distance ties), near-equal norms (prefilter
-//! margins), and degenerate k.
+//! duplicated points (distance ties) and degenerate k.
 
-use falcc_clustering::{log_means, BruteKnn, KEstimateConfig, KMeans, KdTree};
+use falcc_clustering::{log_means, CentroidMatrix, KEstimateConfig, KMeans, KdTree};
 use falcc_dataset::dataset::ProjectedMatrix;
 use proptest::prelude::*;
+
+/// Every point's `(index, squared distance)` to `query`, sorted by
+/// distance with the index as the tie-break — the naive kNN reference.
+fn exhaustive(x: &ProjectedMatrix, query: &[f64]) -> Vec<(usize, f64)> {
+    let mut all: Vec<(usize, f64)> = (0..x.n_rows)
+        .map(|j| (j, query.iter().zip(x.row(j)).map(|(a, b)| (a - b) * (a - b)).sum()))
+        .collect();
+    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    all
+}
 
 /// Matrix with values drawn from a coarse grid so exact duplicate points
 /// and exact distance ties occur regularly.
@@ -41,37 +50,27 @@ proptest! {
     }
 
     #[test]
-    fn predict_pruned_is_bit_identical(x in tied_matrix(), k in 1usize..9,
-                                       seed in 0u64..500) {
+    fn flat_nearest_is_bit_identical_to_predict(x in tied_matrix(), k in 1usize..9,
+                                                seed in 0u64..500) {
         let model = KMeans::new(k, seed).fit(&x);
-        let norms = model.centroid_norms();
+        let matrix = CentroidMatrix::from_model(&model);
         for i in 0..x.n_rows {
-            prop_assert_eq!(
-                model.predict_pruned(x.row(i), &norms),
-                model.predict(x.row(i))
-            );
-        }
-    }
-
-    #[test]
-    fn brute_knn_select_equals_full_sort(x in tied_matrix(), k in 1usize..12) {
-        let index = BruteKnn::build(x.clone());
-        for i in 0..x.n_rows {
-            prop_assert_eq!(
-                index.nearest(x.row(i), k),
-                index.nearest_naive(x.row(i), k)
-            );
+            prop_assert_eq!(matrix.nearest(x.row(i)), model.predict(x.row(i)));
         }
     }
 
     #[test]
     fn kdtree_pruned_equals_reference(x in tied_matrix(), k in 1usize..12) {
+        // The split-plane prune against an exhaustive scan: the distance
+        // profile must match exactly (on ties the neighbour identities
+        // may differ, see the filtered case below).
         let tree = KdTree::build(x.clone());
         for i in 0..x.n_rows {
-            prop_assert_eq!(
-                tree.nearest(x.row(i), k),
-                tree.nearest_reference(x.row(i), k)
-            );
+            let got: Vec<u64> =
+                tree.nearest(x.row(i), k).iter().map(|&(_, d)| d.to_bits()).collect();
+            let expected: Vec<u64> =
+                exhaustive(&x, x.row(i)).iter().take(k).map(|&(_, d)| d.to_bits()).collect();
+            prop_assert_eq!(got, expected);
         }
     }
 
@@ -85,10 +84,9 @@ proptest! {
         // cannot, the filter must hold, and each reported distance must be
         // the true distance to that point.
         let tree = KdTree::build(x.clone());
-        let brute = BruteKnn::build(x.clone());
         for i in 0..x.n_rows.min(20) {
             let filtered = tree.nearest_filtered(x.row(i), k, |j| j % modulo == 0);
-            let mut reference = brute.nearest_naive(x.row(i), x.n_rows);
+            let mut reference = exhaustive(&x, x.row(i));
             reference.retain(|&(j, _)| j % modulo == 0);
             reference.truncate(k);
             let dist_profile: Vec<f64> = filtered.iter().map(|&(_, d)| d).collect();
@@ -104,7 +102,7 @@ proptest! {
     }
 
     #[test]
-    fn warm_started_log_means_is_deterministic_and_in_range(
+    fn log_means_is_deterministic_and_in_range(
         x in tied_matrix(), seed in 0u64..200,
     ) {
         let cfg = KEstimateConfig::for_rows(x.n_rows, seed);

@@ -1,4 +1,4 @@
-//! Binary serving artifacts (v3): the compiled plane, persisted.
+//! Binary serving artifacts (v4): the compiled plane, persisted.
 //!
 //! [`crate::persist`] ships fitted models as JSON — robust and
 //! diff-friendly, but every serving start pays for parsing the text
@@ -13,13 +13,13 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  "falccbv3"
-//! 8       4     format version (little-endian u32, currently 3)
-//! 12      4     section count (always 12)
+//! 0       8     magic  "falccbv4"
+//! 8       4     format version (little-endian u32, currently 4)
+//! 12      4     section count (always 11)
 //! 16      8     source fingerprint: FNV-1a-64 of the JSON snapshot's
 //!               on-disk bytes this artifact was compiled from
 //! 24      8     file checksum: FNV-1a-64 of every byte from offset 32
-//! 32      12×32 section table; per entry:
+//! 32      11×32 section table; per entry:
 //!               {id u32, kind u32, offset u64, len u64, checksum u64}
 //! ...           section bodies, each at an 8-aligned offset, padded
 //!               with zeros between sections
@@ -28,7 +28,7 @@
 //! Sections, in fixed id order: the JSON metadata blob (schema, group
 //! index, proxy projection, name, shape, opaque member specs), the four
 //! node-arena slabs, member footprints/records/payloads, the centroid
-//! data + norms, and the dispatch table. Numeric sections are raw
+//! data, and the dispatch table. Numeric sections are raw
 //! little-endian `f64`/`u32` runs whose length must divide 8 / 4.
 //!
 //! ## Validation
@@ -78,15 +78,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Current artifact format version.
-pub const ARTIFACT_VERSION: u32 = 3;
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// File extension serving callers probe for next to a JSON snapshot.
 pub const ARTIFACT_EXTENSION: &str = "falccb";
 
-const MAGIC: [u8; 8] = *b"falccbv3";
+const MAGIC: [u8; 8] = *b"falccbv4";
 const HEADER_LEN: usize = 32;
 const ENTRY_LEN: usize = 32;
-const N_SECTIONS: usize = 12;
+const N_SECTIONS: usize = 11;
 
 /// Section kinds: raw little-endian `f64` slab, `u32` slab, or opaque
 /// bytes (the JSON metadata blob).
@@ -105,8 +105,7 @@ const S_MEMBER_RECS: usize = 6;
 const S_MEMBER_U32: usize = 7;
 const S_MEMBER_F64: usize = 8;
 const S_CENTROID_DATA: usize = 9;
-const S_CENTROID_NORMS: usize = 10;
-const S_DISPATCH: usize = 11;
+const S_DISPATCH: usize = 10;
 
 /// Expected kind of each section id.
 fn kind_of(id: usize) -> u32 {
@@ -230,7 +229,11 @@ impl CompiledModelBuf {
                 bytes.len()
             )));
         }
-        if bytes[..8] != MAGIC {
+        // The magic's first six bytes name the format family and its last
+        // two repeat the version, so the version field is read between
+        // the two checks: a file from another format version is reported
+        // as skew, not as corruption.
+        if bytes[..6] != MAGIC[..6] {
             return Err(corrupt(format!("bad magic {:?}", &bytes[..8])));
         }
         let version = u32le(&bytes, 8);
@@ -240,6 +243,9 @@ impl CompiledModelBuf {
                 found: version,
                 expected: ARTIFACT_VERSION,
             });
+        }
+        if bytes[6..8] != MAGIC[6..8] {
+            return Err(corrupt(format!("bad magic {:?}", &bytes[..8])));
         }
         let n_sections = u32le(&bytes, 12) as usize;
         if n_sections != N_SECTIONS {
@@ -358,7 +364,6 @@ impl CompiledModelBuf {
             .map_err(|d| corrupt(format!("pool slabs rejected: {d}")))?;
         let centroids = CentroidMatrix::from_raw(
             decode_f64(self.section(S_CENTROID_DATA)),
-            decode_f64(self.section(S_CENTROID_NORMS)),
             meta.n_cols as usize,
         )
         .map_err(|d| corrupt(format!("centroid slab rejected: {d}")))?;
@@ -427,7 +432,7 @@ impl CompiledModelBuf {
 }
 
 impl CompiledModel {
-    /// Serialises the compiled plane into the v3 binary container.
+    /// Serialises the compiled plane into the v4 binary container.
     /// `source_fingerprint` is the FNV-1a-64 hash of the JSON snapshot's
     /// on-disk bytes this plane was compiled from (0 for a free-standing
     /// artifact).
@@ -463,7 +468,6 @@ impl CompiledModel {
             encode_u32(&parts.member_u32),
             encode_f64(&parts.member_f64),
             encode_f64(self.centroids.data()),
-            encode_f64(self.centroids.norms()),
             encode_u32(&self.dispatch),
         ];
         let table_end = HEADER_LEN + N_SECTIONS * ENTRY_LEN;
@@ -609,6 +613,15 @@ mod tests {
         assert!(matches!(
             CompiledModelBuf::from_bytes(skewed),
             Err(FalccError::ArtifactVersionSkew { found: 99, expected: ARTIFACT_VERSION })
+        ));
+
+        // A v3 header (its own magic and version) is skew, not corruption.
+        let mut v3 = bytes.clone();
+        v3[..8].copy_from_slice(b"falccbv3");
+        v3[8] = 3;
+        assert!(matches!(
+            CompiledModelBuf::from_bytes(v3),
+            Err(FalccError::ArtifactVersionSkew { found: 3, expected: 4 })
         ));
 
         let mut bad_magic = bytes.clone();

@@ -78,10 +78,7 @@ impl FalccModel {
     /// bias on the test set with FALCC's own regions.
     pub fn assign_region(&self, row: &[f64]) -> usize {
         let projected = self.proxy_outcome().project_row(row);
-        // Norm-pruned nearest-centroid match: bit-identical to
-        // `kmeans().predict(..)` (see the clustering crate's kmeans docs),
-        // just cheaper per sample.
-        self.kmeans().predict_pruned(&projected, self.centroid_norms())
+        self.kmeans().predict(&projected)
     }
 
     /// The full online phase for one sample.
@@ -176,12 +173,12 @@ impl FalccModel {
         // times it. The disabled path never reads the clock.
         let cluster = if falcc_telemetry::enabled() {
             let t0 = std::time::Instant::now();
-            let cluster = self.kmeans().predict_pruned(projected, self.centroid_norms());
+            let cluster = self.kmeans().predict(projected);
             falcc_telemetry::histograms::ONLINE_MATCH_NS.record_ns(t0.elapsed());
             falcc_telemetry::counters::ONLINE_SAMPLES.incr();
             cluster
         } else {
-            self.kmeans().predict_pruned(projected, self.centroid_norms())
+            self.kmeans().predict(projected)
         };
         let model_idx = self.combo(cluster)[group.index()];
         (self.pool().models[model_idx].model.predict_row(row), cluster)
@@ -225,29 +222,9 @@ impl FalccModel {
             })
             .collect();
         let rejected = checked.iter().filter(|r| r.is_err()).count();
-        let out = if rejected == 0 {
+        let projected = if rejected == 0 {
             // Happy path: one flat projection buffer for the whole batch.
-            let projected = falcc_dataset::Dataset::project_rows(
-                rows,
-                &proxy.attrs,
-                proxy.weights.as_deref(),
-            );
-            parallel_map_range(rows.len(), self.threads(), |i| match &checked[i] {
-                Ok(group) => {
-                    let (pred, region) =
-                        self.classify_routed_in(&rows[i], projected.row(i), *group);
-                    if let Some(rec) = &rec {
-                        rec.stash(
-                            i,
-                            region,
-                            group.index(),
-                            sq_dist(projected.row(i), &self.kmeans().centroids[region]),
-                        );
-                    }
-                    Ok(pred)
-                }
-                Err(fault) => Err(fault.clone()),
-            })
+            falcc_dataset::Dataset::project_rows(rows, &proxy.attrs, proxy.weights.as_deref())
         } else {
             falcc_telemetry::counters::ONLINE_ROWS_REJECTED.add(rejected as u64);
             if falcc_telemetry::enabled() {
@@ -257,37 +234,32 @@ impl FalccModel {
                 );
             }
             // Degraded path: substitute a neutral stand-in for each
-            // rejected row so the batch projection stays shape-safe, then
-            // surface the recorded fault instead of the stand-in's
-            // prediction.
+            // rejected row so the batch projection stays shape-safe; the
+            // map below surfaces the recorded fault instead of the
+            // stand-in's prediction.
             let stand_in = vec![0.0; self.schema().n_attrs()];
             let safe: Vec<Vec<f64>> = rows
                 .iter()
                 .zip(&checked)
                 .map(|(row, check)| if check.is_err() { stand_in.clone() } else { row.clone() })
                 .collect();
-            let projected = falcc_dataset::Dataset::project_rows(
-                &safe,
-                &proxy.attrs,
-                proxy.weights.as_deref(),
-            );
-            parallel_map_range(rows.len(), self.threads(), |i| match &checked[i] {
-                Ok(group) => {
-                    let (pred, region) =
-                        self.classify_routed_in(&rows[i], projected.row(i), *group);
-                    if let Some(rec) = &rec {
-                        rec.stash(
-                            i,
-                            region,
-                            group.index(),
-                            sq_dist(projected.row(i), &self.kmeans().centroids[region]),
-                        );
-                    }
-                    Ok(pred)
-                }
-                Err(fault) => Err(fault.clone()),
-            })
+            falcc_dataset::Dataset::project_rows(&safe, &proxy.attrs, proxy.weights.as_deref())
         };
+        let out = parallel_map_range(rows.len(), self.threads(), |i| match &checked[i] {
+            Ok(group) => {
+                let (pred, region) = self.classify_routed_in(&rows[i], projected.row(i), *group);
+                if let Some(rec) = &rec {
+                    rec.stash(
+                        i,
+                        region,
+                        group.index(),
+                        sq_dist(projected.row(i), &self.kmeans().centroids[region]),
+                    );
+                }
+                Ok(pred)
+            }
+            Err(fault) => Err(fault.clone()),
+        });
         if let (Some(rec), Some(t0)) = (rec, t0) {
             // Rejected rows never stashed a route; commit folds them into
             // the window's rejection tally.

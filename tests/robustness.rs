@@ -19,7 +19,7 @@
 //!    back to the last valid prefix, reproducing the uninterrupted model
 //!    bit for bit (stale-generation journals are rejected typed instead).
 //! 5. **Hardened binary artifacts** — the same corruption matrix applied
-//!    to the v3 binary serving artifact (bit flips across header,
+//!    to the v4 binary serving artifact (bit flips across header,
 //!    section table, and slab bytes; truncation buckets; alignment
 //!    violations; version skew; stale fingerprints) is always rejected
 //!    with a typed error — never UB, never a panic, never a silently
@@ -351,7 +351,7 @@ fn artifact_corruption_matrix_is_always_caught() {
     skewed[8] = 9;
     assert!(matches!(
         falcc::CompiledModelBuf::from_bytes(skewed),
-        Err(FalccError::ArtifactVersionSkew { found: 9, expected: 3 })
+        Err(FalccError::ArtifactVersionSkew { found: 9, expected: 4 })
     ));
 
     // Stale fingerprint: the buffer validates but refuses to serve a
