@@ -12,7 +12,7 @@
 
 use falcc::FairClassifier;
 use falcc_dataset::Dataset;
-use falcc_models::tree::{DecisionTree, TreeParams};
+use falcc_models::tree::{DecisionTree, Presorted, TreeParams};
 use falcc_models::Classifier;
 use falcc_metrics::ConfusionCounts;
 
@@ -53,6 +53,8 @@ impl AdaFair {
         let n = train.len();
         let attrs: Vec<usize> = (0..train.n_attrs()).collect();
         let indices: Vec<usize> = (0..n).collect();
+        // Weights do not enter the presort, so one index serves every round.
+        let pre = Presorted::new(train, &attrs, &indices);
         let n_groups = train.group_index().len();
 
         let mut w = vec![1.0 / n as f64; n];
@@ -61,14 +63,8 @@ impl AdaFair {
         let mut margins = vec![0.0f64; n];
 
         for round in 0..params.n_estimators {
-            let tree = DecisionTree::fit(
-                train,
-                &attrs,
-                &indices,
-                Some(&w),
-                &params.tree,
-                seed ^ round as u64,
-            );
+            let tree =
+                DecisionTree::fit_presorted(&pre, Some(&w), &params.tree, seed ^ round as u64);
             let preds: Vec<u8> = (0..n).map(|i| tree.predict_row(train.row(i))).collect();
             let err: f64 =
                 (0..n).filter(|&i| preds[i] != train.label(i)).map(|i| w[i]).sum();

@@ -18,7 +18,7 @@ use falcc::FairClassifier;
 use falcc_clustering::KdTree;
 use falcc_dataset::dataset::ProjectedMatrix;
 use falcc_dataset::Dataset;
-use falcc_models::tree::{DecisionTree, TreeParams};
+use falcc_models::tree::{DecisionTree, Presorted, TreeParams};
 use falcc_models::Classifier;
 
 /// FairBoost hyperparameters.
@@ -62,6 +62,8 @@ impl FairBoost {
         let n = train.len();
         let attrs: Vec<usize> = (0..train.n_attrs()).collect();
         let indices: Vec<usize> = (0..n).collect();
+        // Weights do not enter the presort, so one index serves every round.
+        let pre = Presorted::new(train, &attrs, &indices);
 
         // Situation-test neighbourhoods over the non-sensitive projection,
         // computed once.
@@ -90,14 +92,8 @@ impl FairBoost {
             Vec::with_capacity(params.n_estimators);
 
         for round in 0..params.n_estimators {
-            let tree = DecisionTree::fit(
-                train,
-                &attrs,
-                &indices,
-                Some(&w),
-                &params.tree,
-                seed ^ round as u64,
-            );
+            let tree =
+                DecisionTree::fit_presorted(&pre, Some(&w), &params.tree, seed ^ round as u64);
             let preds: Vec<u8> =
                 (0..n).map(|i| tree.predict_row(train.row(i))).collect();
             let err: f64 = (0..n)

@@ -17,10 +17,10 @@ fn main() {
     ));
     let report = bench_kernels(scale, opts.seed, reps);
 
-    println!("kernel            naive_ms    fast_ms  speedup  equivalent");
+    println!("kernel                  naive_ms    fast_ms  speedup  equivalent");
     for k in &report.kernels {
         println!(
-            "{:<16} {:>9.2} {:>10.2} {:>7.2}x  {}",
+            "{:<22} {:>9.2} {:>10.2} {:>7.2}x  {}",
             k.kernel, k.naive_ms, k.fast_ms, k.speedup, k.equivalent
         );
     }

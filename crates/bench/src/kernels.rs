@@ -1,7 +1,8 @@
 //! Naive-vs-fast timing harness for the hot numeric kernels.
 //!
 //! Every fast kernel in this codebase ships next to its naive reference
-//! implementation (presorted vs re-sorting CART, bounded vs plain Lloyd).
+//! implementation (presorted vs re-sorting CART, for gini and for the
+//! pruned entropy scan; bounded vs plain Lloyd).
 //! This module times both sides on the same data the runtime experiment
 //! uses and verifies on the spot that the fast kernel's output is
 //! bit-identical.
@@ -11,7 +12,7 @@
 use falcc_clustering::KMeans;
 use falcc_dataset::dataset::ProjectedMatrix;
 use falcc_dataset::{Dataset, SplitRatios, ThreeWaySplit};
-use falcc_models::{DecisionTree, TreeParams};
+use falcc_models::{Classifier, DecisionTree, SplitCriterion, TreeParams};
 use std::time::Instant;
 
 use crate::data::BenchDataset;
@@ -88,33 +89,68 @@ pub fn bench_kernels(scale: f64, seed: u64, reps: usize) -> KernelReport {
     let attrs = split.train.schema().non_sensitive_attrs();
 
     let projected = split.validation.project(&attrs, None);
-    let kernels =
-        vec![bench_tree(&split.train, &attrs, seed, reps), bench_lloyd(&projected, seed, reps)];
+    let gini = TreeParams { max_depth: 12, ..TreeParams::default() };
+    let entropy = TreeParams { criterion: SplitCriterion::Entropy, ..gini };
+    let boosted = second_round_weights(&split.train, &attrs, seed);
+    let kernels = vec![
+        bench_tree("tree_training", &split.train, &attrs, None, &gini, seed, reps),
+        bench_tree(
+            "tree_training_entropy",
+            &split.train,
+            &attrs,
+            Some(&boosted),
+            &entropy,
+            seed,
+            reps,
+        ),
+        bench_lloyd(&projected, seed, reps),
+    ];
 
     KernelReport { scale, seed, reps, train_rows: split.train.len(), kernels }
 }
 
-/// CART: presorted builder vs per-node re-sorting reference.
-fn bench_tree(train: &Dataset, attrs: &[usize], seed: u64, reps: usize) -> KernelTiming {
+/// The sample weights of AdaBoost's second round: one gini stump on
+/// uniform weights, then misclassified rows up and the rest down by
+/// `e^±α`. They are non-uniform the way boosted trees see them.
+fn second_round_weights(train: &Dataset, attrs: &[usize], seed: u64) -> Vec<f64> {
     let indices: Vec<usize> = (0..train.len()).collect();
-    let params = TreeParams { max_depth: 12, ..TreeParams::default() };
+    let params = TreeParams { max_depth: 1, ..TreeParams::default() };
+    let stump = DecisionTree::fit(train, attrs, &indices, None, &params, seed);
+    let wrong: Vec<bool> =
+        indices.iter().map(|&i| stump.predict_row(train.row(i)) != train.label(i)).collect();
+    let err = (wrong.iter().filter(|&&w| w).count() as f64 / train.len() as f64).clamp(1e-6, 0.5);
+    let alpha = 0.5 * ((1.0 - err) / err).ln();
+    wrong.iter().map(|&w| if w { alpha.exp() } else { (-alpha).exp() }).collect()
+}
+
+/// CART: presorted builder vs per-node re-sorting reference.
+fn bench_tree(
+    kernel: &str,
+    train: &Dataset,
+    attrs: &[usize],
+    weights: Option<&[f64]>,
+    params: &TreeParams,
+    seed: u64,
+    reps: usize,
+) -> KernelTiming {
+    let indices: Vec<usize> = (0..train.len()).collect();
     let naive_ms = median_ms(reps, || {
         std::hint::black_box(DecisionTree::fit_naive(
-            train, attrs, &indices, None, &params, seed,
+            train, attrs, &indices, weights, params, seed,
         ));
     });
     let fast_ms = median_ms(reps, || {
-        std::hint::black_box(DecisionTree::fit(train, attrs, &indices, None, &params, seed));
+        std::hint::black_box(DecisionTree::fit(train, attrs, &indices, weights, params, seed));
     });
-    let fast = DecisionTree::fit(train, attrs, &indices, None, &params, seed);
-    let naive = DecisionTree::fit_naive(train, attrs, &indices, None, &params, seed);
-    timing(
-        "tree_training",
-        naive_ms,
-        fast_ms,
-        fast == naive,
-        "full tree structures compared node-for-node",
-    )
+    let fast = DecisionTree::fit(train, attrs, &indices, weights, params, seed);
+    let naive = DecisionTree::fit_naive(train, attrs, &indices, weights, params, seed);
+    let note = match params.criterion {
+        SplitCriterion::Gini => "full tree structures compared node-for-node",
+        SplitCriterion::Entropy => {
+            "entropy, boosted weights; full tree structures compared node-for-node"
+        }
+    };
+    timing(kernel, naive_ms, fast_ms, fast == naive, note)
 }
 
 /// Lloyd iterations: Hamerly-bounded vs fused naive, same k.
@@ -149,13 +185,13 @@ mod tests {
     #[test]
     fn smoke_report_is_equivalent_and_serialisable() {
         let report = bench_kernels(0.01, 3, 1);
-        assert_eq!(report.kernels.len(), 2);
+        assert_eq!(report.kernels.len(), 3);
         for k in &report.kernels {
             assert!(k.naive_ms >= 0.0 && k.fast_ms >= 0.0, "{}", k.kernel);
             assert!(k.speedup > 0.0, "{}", k.kernel);
             assert!(k.equivalent, "{} diverged from its reference", k.kernel);
         }
         let json = serde_json::to_string(&report).expect("serialise");
-        assert!(json.contains("tree_training"));
+        assert!(json.contains("tree_training_entropy"));
     }
 }

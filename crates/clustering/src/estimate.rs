@@ -29,9 +29,6 @@ pub struct KEstimateConfig {
     /// Max Lloyd iterations per probe (probes can be cheaper than the final
     /// clustering).
     pub max_iter: usize,
-    /// Forwarded to [`KMeans::bounds`] (Hamerly-style bounded Lloyd;
-    /// bit-identical to the naive kernel, so this only affects speed).
-    pub bounds: bool,
 }
 
 impl KEstimateConfig {
@@ -39,7 +36,7 @@ impl KEstimateConfig {
     /// capped to `[2, 64]`.
     pub fn for_rows(n_rows: usize, seed: u64) -> Self {
         let k_max = ((n_rows as f64).sqrt() as usize).clamp(2, 64);
-        Self { k_min: 2, k_max, seed, max_iter: 30, bounds: true }
+        Self { k_min: 2, k_max, seed, max_iter: 30 }
     }
 }
 
@@ -54,7 +51,7 @@ fn sse_at(cache: &mut ProbeCache, x: &ProjectedMatrix, cfg: &KEstimateConfig, k:
     falcc_telemetry::counters::LOGMEANS_PROBES.incr();
     let mut trainer = KMeans::new(k, cfg.seed);
     trainer.max_iter = cfg.max_iter;
-    trainer.bounds = cfg.bounds;
+    trainer.bounds = true;
     // Probes only need SSE estimates, not the best possible clustering;
     // two restarts keep the estimator robust without quadrupling its cost.
     trainer.n_init = 2;
@@ -164,7 +161,7 @@ mod tests {
     fn log_means_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         let x = blobs(60, &centers, 0.6, 1);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50 };
         let k = log_means(&x, &cfg);
         assert!((3..=6).contains(&k), "expected ≈4 clusters, got {k}");
     }
@@ -173,7 +170,7 @@ mod tests {
     fn elbow_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (25.0, 0.0), (0.0, 25.0)];
         let x = blobs(60, &centers, 0.5, 2);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50 };
         let k = elbow_k(&x, &cfg);
         assert!((2..=4).contains(&k), "expected ≈3 clusters, got {k}");
     }
@@ -183,7 +180,7 @@ mod tests {
         // Structural property, not a wall-clock claim: with k_max = 64 the
         // exponential + bisection pattern touches O(log²) values.
         let x = blobs(30, &[(0.0, 0.0), (15.0, 15.0)], 1.0, 3);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15 };
         // Just verify it terminates and returns something in range.
         let k = log_means(&x, &cfg);
         assert!((2..=32).contains(&k));
@@ -192,7 +189,7 @@ mod tests {
     #[test]
     fn degenerate_ranges() {
         let x = blobs(10, &[(0.0, 0.0)], 0.5, 4);
-        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10, bounds: true };
+        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10 };
         assert_eq!(log_means(&x, &cfg), 3);
         assert_eq!(elbow_k(&x, &cfg), 3);
     }
@@ -209,7 +206,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let x = blobs(40, &[(0.0, 0.0), (12.0, 12.0)], 1.0, 8);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20 };
         assert_eq!(log_means(&x, &cfg), log_means(&x, &cfg));
     }
 }

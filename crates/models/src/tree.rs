@@ -25,12 +25,27 @@
 //! floating-point summation sequence: stable sorts and *fully stable*
 //! partitions keep tied feature values in original-slot order in both
 //! paths, so every weight prefix sum accumulates in the same order.
+//!
+//! With the entropy criterion the presorted scan also skips a cut's two
+//! `ln`-heavy impurity calls when a cheap gini-shaped lower bound on
+//! entropy proves the cut cannot beat the node's best so far. A skipped
+//! cut could never have replaced the best (the scan only replaces it on a
+//! strictly greater gain), so the tree is unchanged.
 
 use crate::traits::Classifier;
 use falcc_dataset::{AttrId, Dataset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// `4·ln 2`: Topsøe's lower bound on binary entropy in nats,
+/// `H(p) ≥ 4·ln2·p·(1−p)`, with equality at 0, ½ and 1.
+const TOPSOE: f64 = 4.0 * std::f64::consts::LN_2;
+
+/// Absolute slack on the entropy prune. Every gain term is at most about
+/// `ln 2`, so its rounding error is ≲1e-15; a bound this far below the
+/// best gain proves the computed gain is below it too.
+const PRUNE_MARGIN: f64 = 1e-12;
 
 /// Split impurity criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -518,9 +533,13 @@ impl<'a> FastBuilder<'a> {
 
         let candidates =
             sample_candidates(&pre.attrs, self.params.max_features, &mut self.rng);
-        let parent_imp = self.params.criterion.impurity(p);
-        let mut best: Option<(AttrId, f64, f64)> = None; // (attr, threshold, gain)
+        let criterion = self.params.criterion;
+        let prune = criterion == SplitCriterion::Entropy;
+        let parent_imp = criterion.impurity(p);
+        let mut best: Option<(AttrId, f64)> = None; // (attr, threshold)
+        let mut best_gain = f64::NEG_INFINITY;
         let mut evaluated = 0u64;
+        let mut pruned = 0u64;
 
         for &attr in &candidates {
             let base = self.attr_index(attr) * pre.n;
@@ -547,19 +566,36 @@ impl<'a> FastBuilder<'a> {
                     continue;
                 }
                 let right_pos = pos_w - left_pos;
-                let imp_l = self.params.criterion.impurity(left_pos / left_w);
-                let imp_r = self.params.criterion.impurity(right_pos / right_w);
+                // Clamped exactly as `impurity` clamps, so passing them on
+                // changes no bit.
+                let pl = (left_pos / left_w).clamp(0.0, 1.0);
+                let pr = (right_pos / right_w).clamp(0.0, 1.0);
+                evaluated += 1;
+                // Entropy ≥ the Topsøe floor, so `ub` bounds the gain from
+                // above; a cut whose bound cannot beat `best_gain` could
+                // not replace it (DESIGN.md §5d).
+                if prune {
+                    let floor = left_w * pl * (1.0 - pl) + right_w * pr * (1.0 - pr);
+                    let ub = parent_imp - TOPSOE * floor / total_w;
+                    if ub + PRUNE_MARGIN <= best_gain {
+                        pruned += 1;
+                        continue;
+                    }
+                }
+                let imp_l = criterion.impurity(pl);
+                let imp_r = criterion.impurity(pr);
                 let gain =
                     parent_imp - (left_w * imp_l + right_w * imp_r) / total_w;
-                evaluated += 1;
-                if gain > best.map_or(f64::NEG_INFINITY, |(_, _, g)| g) {
-                    best = Some((attr, 0.5 * (v_prev + v_here), gain));
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some((attr, 0.5 * (v_prev + v_here)));
                 }
             }
         }
         falcc_telemetry::counters::SPLITS_EVALUATED.add(evaluated);
+        falcc_telemetry::counters::SPLITS_PRUNED.add(pruned);
 
-        let Some((attr, threshold, _)) = best else {
+        let Some((attr, threshold)) = best else {
             self.nodes.push(Node::Leaf { proba: p });
             return (self.nodes.len() - 1) as u32;
         };
@@ -788,6 +824,38 @@ mod tests {
         let b = DecisionTree::fit(&ds, &[0, 1], &idx, None, &params, 7);
         for i in 0..ds.len() {
             assert_eq!(a.predict_row(ds.row(i)), b.predict_row(ds.row(i)));
+        }
+    }
+
+    #[test]
+    fn topsoe_floor_never_exceeds_computed_entropy() {
+        // The prune's soundness: the computed floor stays at or below the
+        // computed entropy, from p near 0 through ½ to p near 1.
+        let floor = |p: f64| TOPSOE * p * (1.0 - p);
+        let entropy = |p: f64| SplitCriterion::Entropy.impurity(p);
+        let mut ps: Vec<f64> = (0..=1 << 20).map(|i| f64::from(i) / f64::from(1 << 20)).collect();
+        for e in 1..=1074 {
+            let tiny = 2f64.powi(-e);
+            ps.extend([tiny, 1.0 - tiny]);
+        }
+        assert!(ps.contains(&0.5));
+        for p in ps {
+            assert!(floor(p) <= entropy(p), "p = {p:e}: {:e} > {:e}", floor(p), entropy(p));
+        }
+        // Within ~1e-8 of ½ the true gap (≈ 0.77·(p−½)²) is below one ulp
+        // of ln 2, so rounding may lift the floor an ulp above the
+        // entropy. That is what `PRUNE_MARGIN` absorbs, many times over.
+        let (mut below, mut above) = (0.5f64, 0.5f64);
+        let mut near_half = Vec::new();
+        for _ in 0..4096 {
+            below = f64::from_bits(below.to_bits() - 1);
+            above = f64::from_bits(above.to_bits() + 1);
+            near_half.extend([below, above]);
+        }
+        near_half.extend((1..=40).flat_map(|e| [0.5 - 2f64.powi(-e), 0.5 + 2f64.powi(-e)]));
+        for p in near_half {
+            let excess = floor(p) - entropy(p);
+            assert!(excess <= 2.0 * f64::EPSILON, "p = {p:e}: floor exceeds entropy by {excess:e}");
         }
     }
 

@@ -11,6 +11,11 @@
 //! stable and the partition preserves relative order do the candidate
 //! scans see the same sequence — and hence accumulate the same floats.
 //!
+//! The entropy scan skips the `ln` calls of a cut whose Topsøe bound
+//! cannot beat the node's best gain. That is exact only if ties still go
+//! to the first cut in scan order and gains a hair apart still pick the
+//! same cut; both are pinned here on weighted data built for them.
+//!
 //! Pool training goes two steps further, and both are pinned here too:
 //! one `Presorted` index serves every tree trained on the same rows
 //! (boosting rounds and grid points, across worker threads), and each
@@ -126,6 +131,145 @@ proptest! {
         let naive = DecisionTree::fit_naive(&ds, &[0, 2], &idx, None, &params, seed);
         prop_assert_eq!(fast, naive);
     }
+}
+
+/// A palindromic training set: rows `i` and `n−1−i` share a label and a
+/// weight. Feature `a` is the row number, `b` copies `a`, and `c` is `a`
+/// mirrored, so `c` scans the rows from the other end.
+fn mirrored_dataset(half_labels: &[u8], half_weights: &[f64]) -> (Dataset, Vec<f64>) {
+    let n = 2 * half_labels.len();
+    let half = |i: usize| i.min(n - 1 - i);
+    let flat: Vec<f64> = (0..n)
+        .flat_map(|i| [i as f64, i as f64, (n - 1 - i) as f64])
+        .collect();
+    let labels: Vec<u8> = (0..n).map(|i| half_labels[half(i)]).collect();
+    let weights: Vec<f64> = (0..n).map(|i| half_weights[half(i)]).collect();
+    let schema = Schema::new(vec!["a".into(), "b".into(), "c".into()], vec![], "y")
+        .expect("schema");
+    (Dataset::from_flat(schema, flat, labels).expect("dataset"), weights)
+}
+
+/// The root split of `tree` as (attribute, threshold), or `None` for a
+/// single leaf. The root is the last node of the slab.
+fn root_split(tree: &DecisionTree) -> Option<(u64, f64)> {
+    use serde_json::Value;
+    let json = serde_json::to_string(tree).expect("serialize");
+    let json = serde_json::parse_value(&json).expect("parse");
+    let Some(Value::Array(nodes)) = json.get("nodes") else { panic!("no node slab") };
+    let split = nodes.last().expect("root").get("Split")?;
+    match (split.get("attr"), split.get("threshold")) {
+        (Some(&Value::I64(attr)), Some(&Value::F64(threshold))) => Some((attr as u64, threshold)),
+        (Some(&Value::U64(attr)), Some(&Value::F64(threshold))) => Some((attr, threshold)),
+        other => panic!("unexpected split fields {other:?}"),
+    }
+}
+
+/// Entropy gain of every cut of a sorted label/weight sequence, summed
+/// in scan order as the builders sum it.
+fn entropy_gains(labels: &[u8], weights: &[f64]) -> Vec<f64> {
+    let h = |p: f64| {
+        if p <= 0.0 || p >= 1.0 {
+            0.0
+        } else {
+            -(p * p.ln() + (1.0 - p) * (1.0 - p).ln())
+        }
+    };
+    let total_w: f64 = weights.iter().sum();
+    let pos_w: f64 = labels.iter().zip(weights).filter(|(&y, _)| y == 1).map(|(_, w)| w).sum();
+    let parent = h(pos_w / total_w);
+    let (mut left_w, mut left_pos) = (0.0, 0.0);
+    (1..labels.len())
+        .map(|cut| {
+            left_w += weights[cut - 1];
+            left_pos += if labels[cut - 1] == 1 { weights[cut - 1] } else { 0.0 };
+            let right_w = total_w - left_w;
+            let right_pos = pos_w - left_pos;
+            parent - (left_w * h(left_pos / left_w) + right_w * h(right_pos / right_w)) / total_w
+        })
+        .collect()
+}
+
+/// Fits `params` on `ds` with `weights` through one shared index at every
+/// thread count and asserts each tree equals `fit_naive`'s.
+fn assert_shared_fits_equal_naive(ds: &Dataset, weights: &[f64], params: &TreeParams) {
+    let idx: Vec<usize> = (0..ds.len()).collect();
+    let naive = DecisionTree::fit_naive(ds, &[0, 1, 2], &idx, Some(weights), params, 0);
+    let pre = Presorted::new(ds, &[0, 1, 2], &idx);
+    for threads in THREADS {
+        let fits = parallel_map(&[0u64, 1, 2, 3], threads, |_, &seed| {
+            DecisionTree::fit_presorted(&pre, Some(weights), params, seed)
+        });
+        for fast in fits {
+            assert_eq!(fast, naive, "threads = {threads}");
+        }
+    }
+}
+
+fn entropy_params(depth: usize, min_leaf: usize) -> TreeParams {
+    TreeParams {
+        max_depth: depth,
+        min_samples_leaf: min_leaf,
+        criterion: SplitCriterion::Entropy,
+        max_features: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exactly_tied_entropy_gains_go_to_the_first_cut(
+        (half_labels, weight_exps) in (3usize..20).prop_flat_map(|h| {
+            (prop::collection::vec(0u8..=1, h), prop::collection::vec(-2i32..=2, h))
+        }),
+        depth in 1usize..8,
+        min_leaf in 1usize..3,
+    ) {
+        // Dyadic weights sum without rounding, so each cut of `a` ties
+        // its mirror image, and `b` and `c` tie `a` cut for cut — exactly.
+        // The strict `>` keeps the first: attribute `a`, left half.
+        let half_weights: Vec<f64> = weight_exps.iter().map(|&e| 2f64.powi(e)).collect();
+        let (ds, weights) = mirrored_dataset(&half_labels, &half_weights);
+        let params = entropy_params(depth, min_leaf);
+        assert_shared_fits_equal_naive(&ds, &weights, &params);
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let tree = DecisionTree::fit(&ds, &[0, 1, 2], &idx, Some(&weights), &params, 0);
+        if let Some((attr, threshold)) = root_split(&tree) {
+            prop_assert_eq!(attr, 0);
+            prop_assert!(threshold < half_labels.len() as f64);
+        }
+    }
+}
+
+#[test]
+fn entropy_gains_a_hair_apart_pick_the_same_cut() {
+    // Labels 0^z 1^2k 0^z: the best cuts isolate one zero block or the
+    // other, and nudging the last row's weight by a few ulps sets their
+    // gains less than 1e-13 apart. `c` sees the same cuts summed from
+    // the other end.
+    let mut distinct = 0;
+    for z in 2..7 {
+        for k in [1, 3, 4] {
+            for nudge in [1u64, 3, 16, 64] {
+                let mut half_labels = vec![0u8; z];
+                half_labels.extend(vec![1u8; k]);
+                let ones = vec![1.0; half_labels.len()];
+                let (ds, mut weights) = mirrored_dataset(&half_labels, &ones);
+                let n = ds.len();
+                weights[n - 1] = f64::from_bits(weights[n - 1].to_bits() + nudge);
+                let labels: Vec<u8> = (0..n).map(|i| ds.label(i)).collect();
+                let mut gains = entropy_gains(&labels, &weights);
+                gains.sort_by(|a, b| b.total_cmp(a));
+                let gap = gains[0] - gains[1];
+                assert!(gap < 1e-13, "z={z} k={k}: best gains {gap:e} apart");
+                distinct += usize::from(gap > 0.0);
+                for depth in [1, 2, 7] {
+                    assert_shared_fits_equal_naive(&ds, &weights, &entropy_params(depth, 1));
+                }
+            }
+        }
+    }
+    assert!(distinct > 0, "no case set the best gains apart");
 }
 
 /// Training sets for the grid property, by `kind`:

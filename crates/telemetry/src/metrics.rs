@@ -256,6 +256,9 @@ pub mod counters {
     pub static KNN_POINTS_SCANNED: Counter = Counter::new("knn.points_scanned");
     /// Candidate split positions evaluated while fitting decision trees.
     pub static SPLITS_EVALUATED: Counter = Counter::new("offline.splits_evaluated");
+    /// Of those, entropy candidates the presorted builder skipped because
+    /// a cheap bound proved they could not beat the node's best split.
+    pub static SPLITS_PRUNED: Counter = Counter::new("offline.splits_pruned");
     /// Hyperparameter grid points fitted for pool training.
     pub static POOL_GRID_POINTS: Counter = Counter::new("pool.grid_points");
     /// Auto-tuning candidates evaluated.
